@@ -475,8 +475,12 @@ let step ?(on_event = fun (_ : event) -> ()) ?(extra_fds = []) ~timeout t =
   let readable_extra =
     match Unix.select (fds @ extra_fds) [] [] timeout with
     | readable, _, _ ->
+        (* A worker at EOF has closed its pipe, and the fd number may
+           already belong to a newer worker's pipe or a caller socket:
+           only workers still reading may claim a readable fd. *)
         List.iter
-          (fun r -> if List.mem r.r_fd readable then read_chunk r)
+          (fun r ->
+            if (not r.r_eof) && List.mem r.r_fd readable then read_chunk r)
           t.running;
         List.filter (fun fd -> List.mem fd readable) extra_fds
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> []

@@ -91,6 +91,38 @@ let csr_node_offsets t = t.node_offsets
 
 (* Construction ----------------------------------------------------------- *)
 
+(* Finish a CSR hypergraph from its sorted pin slices: one linear pass
+   checks every pin against [0, n) and for a repeat of its predecessor
+   within the edge (messages prefixed by [who]), then the pins are
+   transposed into node -> incident edges (in increasing edge order). *)
+let of_csr ~who ~n ~node_weight ~edge_weight ~edge_offsets ~pins =
+  let m = Array.length edge_weight in
+  for e = 0 to m - 1 do
+    let base = edge_offsets.(e) in
+    for i = base to edge_offsets.(e + 1) - 1 do
+      let v = pins.(i) in
+      if v < 0 || v >= n then invalid_arg (who ^ ": pin out of range");
+      if i > base && pins.(i - 1) = v then
+        invalid_arg (who ^ ": duplicate pin within an edge")
+    done
+  done;
+  let rho = Array.length pins in
+  let node_offsets = Array.make (n + 1) 0 in
+  Array.iter (fun v -> node_offsets.(v + 1) <- node_offsets.(v + 1) + 1) pins;
+  for v = 0 to n - 1 do
+    node_offsets.(v + 1) <- node_offsets.(v + 1) + node_offsets.(v)
+  done;
+  let incidence = Array.make rho 0 in
+  let cursor = Array.copy node_offsets in
+  for e = 0 to m - 1 do
+    for i = edge_offsets.(e) to edge_offsets.(e + 1) - 1 do
+      let v = pins.(i) in
+      incidence.(cursor.(v)) <- e;
+      cursor.(v) <- cursor.(v) + 1
+    done
+  done;
+  { n; node_weight; edge_weight; edge_offsets; pins; node_offsets; incidence }
+
 let of_edges ?node_weights ?edge_weights ~n edge_list =
   let m = Array.length edge_list in
   let node_weight =
@@ -111,37 +143,14 @@ let of_edges ?node_weights ?edge_weights ~n edge_list =
   for e = 0 to m - 1 do
     edge_offsets.(e + 1) <- edge_offsets.(e) + Array.length edge_list.(e)
   done;
-  let rho = edge_offsets.(m) in
-  let pins = Array.make rho 0 in
+  (* Each edge is copied into its slice of [pins] and sorted there. *)
+  let pins = Array.make edge_offsets.(m) 0 in
   for e = 0 to m - 1 do
-    let sorted = Array.copy edge_list.(e) in
-    Array.sort Int.compare sorted;
-    let base = edge_offsets.(e) in
-    Array.iteri
-      (fun i v ->
-        if v < 0 || v >= n then invalid_arg "Hg.of_edges: pin out of range";
-        if i > 0 && sorted.(i - 1) = v then
-          invalid_arg "Hg.of_edges: duplicate pin within an edge";
-        pins.(base + i) <- v)
-      sorted
+    let base = edge_offsets.(e) and len = Array.length edge_list.(e) in
+    Array.blit edge_list.(e) 0 pins base len;
+    Support.Util.sort_int_range pins base len
   done;
-  (* Transpose to get node -> incident edges (in increasing edge order). *)
-  let degree = Array.make n 0 in
-  Array.iter (fun v -> degree.(v) <- degree.(v) + 1) pins;
-  let node_offsets = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    node_offsets.(v + 1) <- node_offsets.(v) + degree.(v)
-  done;
-  let incidence = Array.make rho 0 in
-  let cursor = Array.copy node_offsets in
-  for e = 0 to m - 1 do
-    for i = edge_offsets.(e) to edge_offsets.(e + 1) - 1 do
-      let v = pins.(i) in
-      incidence.(cursor.(v)) <- e;
-      cursor.(v) <- cursor.(v) + 1
-    done
-  done;
-  { n; node_weight; edge_weight; edge_offsets; pins; node_offsets; incidence }
+  of_csr ~who:"Hg.of_edges" ~n ~node_weight ~edge_weight ~edge_offsets ~pins
 
 let empty n = of_edges ~n [||]
 
@@ -234,108 +243,174 @@ let induced_subgraph t keep =
   in
   (sub, old_nodes, old_edges)
 
+(* Contraction kernel ------------------------------------------------------ *)
+
+(* The kernel keeps every coarse edge as a slice of one flat label buffer:
+   kept edge [i] is [flat.(starts.(i)) .. flat.(starts.(i + 1) - 1)],
+   sorted ascending.  Slices order lexicographically, a proper prefix
+   first (as Support.Order.int_array); [slice_key] reads depth [d] of a
+   slice with -1, below every label, past its end. *)
+let slice_key flat starts i d =
+  let p = starts.(i) + d in
+  if p < starts.(i + 1) then flat.(p) else -1
+
+let equal_slices flat starts a b =
+  let sa = starts.(a) and sb = starts.(b) in
+  let len = starts.(a + 1) - sa in
+  len = starts.(b + 1) - sb
+  &&
+  let rec go i = i = len || (flat.(sa + i) = flat.(sb + i) && go (i + 1)) in
+  go 0
+
+(* The kept slice indices [0, kept) in slice order, then (when
+   [by_weight]) by [weight] among equal slices.  Depth 0 is one counting
+   sort over the [count] labels; each first-label bucket then gets a
+   multikey (3-way radix) quicksort on the key at depth [d] (Bentley and
+   Sedgewick), whose equal-key block advances to depth [d + 1] — a block
+   whose key is the end marker is a run of identical slices. *)
+let sort_slices flat starts weight ~by_weight ~count ~kept =
+  let idx = Array.make kept 0 in
+  let swap i j =
+    let x = idx.(i) in
+    idx.(i) <- idx.(j);
+    idx.(j) <- x
+  in
+  let sort_run_by_weight lo hi =
+    let run = Array.sub idx lo (hi - lo) in
+    Array.sort (fun a b -> Int.compare weight.(a) weight.(b)) run;
+    Array.blit run 0 idx lo (hi - lo)
+  in
+  let rec sort lo hi d =
+    let lo = ref lo in
+    while hi - !lo > 1 do
+      let key i = slice_key flat starts idx.(i) d in
+      (* Median-of-three pivot key. *)
+      let a = key !lo and b = key ((!lo + hi) / 2) and c = key (hi - 1) in
+      let pivot =
+        if a < b then (if b < c then b else if a < c then c else a)
+        else if a < c then a
+        else if b < c then c
+        else b
+      in
+      (* [lo, lt) < pivot, [lt, gt) = pivot, [gt, hi) > pivot. *)
+      let lt = ref !lo and i = ref !lo and gt = ref hi in
+      while !i < !gt do
+        let k = key !i in
+        if k < pivot then begin
+          swap !lt !i;
+          incr lt;
+          incr i
+        end
+        else if k > pivot then begin
+          decr gt;
+          swap !i !gt
+        end
+        else incr i
+      done;
+      sort !lo !lt d;
+      if pivot >= 0 then sort !lt !gt (d + 1)
+      else if by_weight && !gt - !lt > 1 then sort_run_by_weight !lt !gt;
+      lo := !gt
+    done
+  in
+  (* Bucket 0 holds the empty slices, bucket l + 1 those starting with
+     label l; after the scatter [bucket.(b)] is the end of bucket b. *)
+  let bucket = Array.make (count + 2) 0 in
+  for i = 0 to kept - 1 do
+    let b = slice_key flat starts i 0 + 2 in
+    bucket.(b) <- bucket.(b) + 1
+  done;
+  for b = 1 to count + 1 do
+    bucket.(b) <- bucket.(b) + bucket.(b - 1)
+  done;
+  for i = 0 to kept - 1 do
+    let b = slice_key flat starts i 0 + 1 in
+    idx.(bucket.(b)) <- i;
+    bucket.(b) <- bucket.(b) + 1
+  done;
+  if by_weight && bucket.(0) > 1 then sort_run_by_weight 0 bucket.(0);
+  for b = 1 to count do
+    sort bucket.(b - 1) bucket.(b) 1
+  done;
+  idx
+
 (* Contract nodes according to [label : node -> 0..count-1].  Hyperedges are
    mapped through the labeling; pins collapse; edges that become singletons
    are dropped when [drop_singletons]; identical edges are merged with
-   weights summed when [merge_identical]. *)
+   weights summed when [merge_identical].  Output edges are in slice order
+   (pins lexicographic, a proper prefix first), equal pin sets by weight
+   when they are not merged. *)
 let contract ?(drop_singletons = true) ?(merge_identical = true) t label count =
   if Array.length label <> t.n then invalid_arg "Hg.contract: label length";
-  let node_weights = Array.make count 0 in
+  let node_weight = Array.make count 0 in
   for v = 0 to t.n - 1 do
     let l = label.(v) in
     if l < 0 || l >= count then invalid_arg "Hg.contract: label out of range";
-    node_weights.(l) <- node_weights.(l) + t.node_weight.(v)
+    node_weight.(l) <- node_weight.(l) + t.node_weight.(v)
   done;
-  (* Mapped pin lists collapse into one flat buffer (each edge a sorted
-     slice), and identical edges merge by sorting edge indices with a
-     slice-lexicographic comparator and summing weights along equal runs —
-     no per-edge arrays, no hashing of structured keys.  The final edge
-     order (pins lexicographic, then weight) matches the old
-     list-and-table construction. *)
+  (* Map: each edge's distinct labels, sorted, become the next slice of
+     [flat]; a dropped edge's slice is rewound, so kept slices abut and
+     [starts] alone delimits them. *)
   let m = num_edges t in
   let mark = Array.make count (-1) in
   let flat = Array.make (num_pins t) 0 in
-  let starts = Array.make m 0 in
-  let lens = Array.make m 0 in
-  let kept_weight = Array.make m 0 in
+  let starts = Array.make (m + 1) 0 in
+  let weight = Array.make m 0 in
   let kept = ref 0 in
   let cursor = ref 0 in
   for e = 0 to m - 1 do
     let start = !cursor in
-    iter_pins t e (fun v ->
-        let l = label.(v) in
-        if mark.(l) <> e then begin
-          mark.(l) <- e;
-          flat.(!cursor) <- l;
-          incr cursor
-        end);
+    for i = t.edge_offsets.(e) to t.edge_offsets.(e + 1) - 1 do
+      let l = label.(t.pins.(i)) in
+      if mark.(l) <> e then begin
+        mark.(l) <- e;
+        flat.(!cursor) <- l;
+        incr cursor
+      end
+    done;
     let len = !cursor - start in
     if (not drop_singletons) || len > 1 then begin
       Support.Util.sort_int_range flat start len;
-      starts.(!kept) <- start;
-      lens.(!kept) <- len;
-      kept_weight.(!kept) <- t.edge_weight.(e);
-      incr kept
+      weight.(!kept) <- t.edge_weight.(e);
+      incr kept;
+      starts.(!kept) <- !cursor
     end
     else cursor := start
   done;
-  let kept = !kept in
-  (* Lexicographic slice order with length as the tie-break prefix rule
-     (as Support.Order.int_array), then weight. *)
-  let compare_kept a b =
-    let sa = starts.(a) and sb = starts.(b) in
-    let la = lens.(a) and lb = lens.(b) in
-    let shared = if la < lb then la else lb in
-    let rec go i =
-      if i = shared then Int.compare la lb
-      else
-        let c = Int.compare flat.(sa + i) flat.(sb + i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    let c = go 0 in
-    if c <> 0 then c else Int.compare kept_weight.(a) kept_weight.(b)
+  let idx =
+    sort_slices flat starts weight ~by_weight:(not merge_identical) ~count
+      ~kept:!kept
   in
-  let idx = Array.init kept (fun i -> i) in
-  Array.sort compare_kept idx;
-  let equal_pins a b =
-    lens.(a) = lens.(b)
-    &&
-    let sa = starts.(a) and sb = starts.(b) in
-    let rec go i =
-      i = lens.(a) || (flat.(sa + i) = flat.(sb + i) && go (i + 1))
-    in
-    go 0
-  in
-  let out_pins = ref [] and out_weights = ref [] and out = ref 0 in
-  let emit i w =
-    out_pins := Array.sub flat starts.(i) lens.(i) :: !out_pins;
-    out_weights := w :: !out_weights;
-    incr out
-  in
+  (* Merge runs of equal slices in place: the run's first slice carries
+     the summed weight, and [idx.(0 .. out-1)] become the output edges. *)
+  let out = ref 0 in
   let i = ref 0 in
-  while !i < kept do
+  while !i < !kept do
     let first = idx.(!i) in
-    if merge_identical then begin
-      let w = ref kept_weight.(first) in
-      incr i;
-      while !i < kept && equal_pins first idx.(!i) do
-        w := !w + kept_weight.(idx.(!i));
+    incr i;
+    if merge_identical then
+      while !i < !kept && equal_slices flat starts first idx.(!i) do
+        weight.(first) <- weight.(first) + weight.(idx.(!i));
         incr i
       done;
-      emit first !w
-    end
-    else begin
-      emit first kept_weight.(first);
-      incr i
-    end
+    idx.(!out) <- first;
+    incr out
   done;
-  let edge_weights = Array.make !out 0 in
-  let edge_pins = Array.make !out [||] in
-  List.iteri
-    (fun j w -> edge_weights.(!out - 1 - j) <- w)
-    !out_weights;
-  List.iteri (fun j p -> edge_pins.(!out - 1 - j) <- p) !out_pins;
-  of_edges ~n:count ~node_weights ~edge_weights edge_pins
+  (* Emit the CSR arrays directly. *)
+  let out = !out in
+  let edge_weight = Array.init out (fun j -> weight.(idx.(j))) in
+  let edge_offsets = Array.make (out + 1) 0 in
+  for j = 0 to out - 1 do
+    let s = idx.(j) in
+    edge_offsets.(j + 1) <- edge_offsets.(j) + starts.(s + 1) - starts.(s)
+  done;
+  let pins = Array.make edge_offsets.(out) 0 in
+  for j = 0 to out - 1 do
+    let s = idx.(j) in
+    Array.blit flat starts.(s) pins edge_offsets.(j) (starts.(s + 1) - starts.(s))
+  done;
+  of_csr ~who:"Hg.contract" ~n:count ~node_weight ~edge_weight ~edge_offsets
+    ~pins
 
 let connected_components t =
   let dsu = Support.Dsu.create t.n in

@@ -113,7 +113,10 @@ let one_level ?workspace ?within rng hg ~max_cluster_weight =
       let label, count = cluster ?workspace ?within rng hg ~max_cluster_weight in
       if count = Hypergraph.num_nodes hg then None
       else begin
-        let coarse = Hypergraph.contract hg label count in
+        let coarse =
+          Obs.Span.with_ "coarsen.contract" (fun () ->
+              Hypergraph.contract hg label count)
+        in
         Obs.Counter.incr c_levels;
         Obs.Span.attr "nodes_out" (Obs.Int count);
         Obs.Histogram.observe h_shrink

@@ -130,7 +130,10 @@ let one_level pool wss hg ~max_cluster_weight =
       let label, count = commit_round hg ~max_cluster_weight propose in
       if count = n then None
       else begin
-        let coarse = Hypergraph.contract hg label count in
+        let coarse =
+          Obs.Span.with_ "coarsen.contract" (fun () ->
+              Hypergraph.contract hg label count)
+        in
         Obs.Counter.incr c_levels;
         Obs.Span.attr "nodes_out" (Obs.Int count);
         Obs.Histogram.observe h_shrink (float_of_int count /. float_of_int n);

@@ -79,8 +79,8 @@ let iter_tuples ~base ~len f =
   go 0
 
 (* In-place ascending sort of the slice [pos, pos+len) of an int array,
-   allocation-free (the CSR contraction kernel sorts every coarse edge's
-   pin slice in one flat buffer): insertion sort for short slices, else
+   allocation-free (Hg.of_edges and the contraction kernel sort every
+   edge's pin slice in one flat buffer): insertion sort for short slices, else
    sift-down heapsort — deterministic and O(len log len) worst case. *)
 let sort_int_range a pos len =
   if pos < 0 || len < 0 || pos + len > Array.length a then

@@ -402,6 +402,83 @@ let test_pool_failed_not_retried () =
     (E.Record.status_name (List.hd records).E.Record.status);
   Alcotest.(check int) "deterministic failures never retry" 0 !retries
 
+let test_pool_eof_fd_reuse () =
+  (* A worker that closed its status pipe but has not exited yet stays in
+     the running set, and the kernel hands its fd number to the next
+     descriptor opened.  Steps must not let that worker claim the fd:
+     with the reuse forced below, a caller socket's byte would be read
+     into the worker's buffer (or its EOF would close the caller's fd).
+     The fd numbers are pinned with a probe pipe: [spawn] allocates the
+     lowest free numbers, so the status pipe reuses the probe's. *)
+  let gate_r, gate_w = Unix.pipe () in
+  let probe_r, probe_w = Unix.pipe () in
+  Unix.close probe_r;
+  Unix.close probe_w;
+  let worker (_ : E.Spec.job) =
+    (* In the child: close the status pipe's write end, then hold the
+       worker alive until the coordinator closes the gate. *)
+    Unix.close gate_w;
+    Unix.close probe_w;
+    ignore (Unix.read gate_r (Bytes.create 1) 0 1 : int);
+    { E.Record.p_status = `Done; p_metrics = []; p_observed = None }
+  in
+  let pool =
+    E.Pool.create { (quiet_pool 1) with E.Pool.retries = 0 } ~worker
+  in
+  let job = gen_job () in
+  E.Pool.submit pool ~index:0 ~fingerprint:(fingerprint_exn job) job;
+  let completed = ref [] in
+  let step ?extra_fds timeout =
+    let records, readable = E.Pool.step ?extra_fds ~timeout pool in
+    completed := records @ !completed;
+    readable
+  in
+  (* Step until the pool has seen the pipe's EOF and closed its end: the
+     next pipe then gets the probe's numbers back. *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec reuse () =
+    ignore (step 0.01 : Unix.file_descr list);
+    let r, w = Unix.pipe () in
+    if r = probe_r then (r, w)
+    else begin
+      Unix.close r;
+      Unix.close w;
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "status pipe fd was never released";
+      reuse ()
+    end
+  in
+  let sock_r, sock_w = reuse () in
+  Alcotest.(check int) "worker still running" 1 (E.Pool.in_flight pool);
+  ignore (Unix.write_substring sock_w "x" 0 1 : int);
+  let readable = step ~extra_fds:[ sock_r ] 0.5 in
+  Alcotest.(check bool) "caller fd reported readable" true
+    (List.mem sock_r readable);
+  Unix.set_nonblock sock_r;
+  let buf = Bytes.create 1 in
+  (match Unix.read sock_r buf 0 1 with
+  | 1 -> Alcotest.(check char) "caller byte intact" 'x' (Bytes.get buf 0)
+  | _ -> Alcotest.fail "caller fd at EOF"
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+      Alcotest.fail "the finished worker consumed the caller's byte");
+  (* The caller's EOF must not be consumed (and the fd closed) either. *)
+  Unix.close sock_w;
+  let readable = step ~extra_fds:[ sock_r ] 0.5 in
+  Alcotest.(check bool) "caller EOF reported" true (List.mem sock_r readable);
+  Alcotest.(check int) "caller fd still open" 0 (Unix.read sock_r buf 0 1);
+  Unix.close sock_r;
+  Unix.close gate_w;
+  Unix.close gate_r;
+  while (not (E.Pool.idle pool)) && Unix.gettimeofday () < deadline do
+    ignore (step 0.01 : Unix.file_descr list)
+  done;
+  match !completed with
+  | [ (0, record) ] ->
+      (* No payload arrived on the closed pipe: a protocol crash. *)
+      Alcotest.(check string) "worker without payload" "crashed"
+        (E.Record.status_name record.E.Record.status)
+  | l -> Alcotest.failf "expected one record, got %d" (List.length l)
+
 (* ---- cache under concurrent multi-process access ------------------------- *)
 
 let test_cache_concurrent_stores () =
@@ -771,6 +848,8 @@ let suite =
     Alcotest.test_case "pool timeout kill" `Quick test_pool_timeout_kill;
     Alcotest.test_case "pool never retries deterministic failures" `Quick
       test_pool_failed_not_retried;
+    Alcotest.test_case "pool ignores a finished worker's reused fd" `Quick
+      test_pool_eof_fd_reuse;
     Alcotest.test_case "cache concurrent same-fingerprint stores" `Quick
       test_cache_concurrent_stores;
     Alcotest.test_case "cache reader racing writer" `Quick

@@ -289,6 +289,159 @@ let qcheck_hmetis_roundtrip =
            (fun e -> H.edge_pins h e = H.edge_pins h' e)
            (List.init (H.num_edges h) Fun.id))
 
+(* The contraction the flat CSR kernel replaced, kept as the
+   differential oracle: mapped pin lists collapse into one flat buffer,
+   kept edge indices are sorted with a slice-lexicographic closure
+   comparator (then weight), equal runs are summed into two reversed
+   lists of per-edge [Array.sub] copies, and [of_edges] builds the
+   result. *)
+let oracle_contract ~drop_singletons ~merge_identical h label count =
+  let node_weights = Array.make count 0 in
+  Array.iteri
+    (fun v l -> node_weights.(l) <- node_weights.(l) + H.node_weight h v)
+    label;
+  let m = H.num_edges h in
+  let mark = Array.make count (-1) in
+  let flat = Array.make (H.num_pins h) 0 in
+  let starts = Array.make m 0 in
+  let lens = Array.make m 0 in
+  let kept_weight = Array.make m 0 in
+  let kept = ref 0 in
+  let cursor = ref 0 in
+  for e = 0 to m - 1 do
+    let start = !cursor in
+    H.iter_pins h e (fun v ->
+        let l = label.(v) in
+        if mark.(l) <> e then begin
+          mark.(l) <- e;
+          flat.(!cursor) <- l;
+          incr cursor
+        end);
+    let len = !cursor - start in
+    if (not drop_singletons) || len > 1 then begin
+      Support.Util.sort_int_range flat start len;
+      starts.(!kept) <- start;
+      lens.(!kept) <- len;
+      kept_weight.(!kept) <- H.edge_weight h e;
+      incr kept
+    end
+    else cursor := start
+  done;
+  let kept = !kept in
+  let compare_kept a b =
+    let sa = starts.(a) and sb = starts.(b) in
+    let la = lens.(a) and lb = lens.(b) in
+    let rec go i =
+      if i = Int.min la lb then Int.compare la lb
+      else
+        let c = Int.compare flat.(sa + i) flat.(sb + i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    let c = go 0 in
+    if c <> 0 then c else Int.compare kept_weight.(a) kept_weight.(b)
+  in
+  let idx = Array.init kept Fun.id in
+  Array.sort compare_kept idx;
+  let equal_pins a b =
+    lens.(a) = lens.(b)
+    &&
+    let rec go i =
+      i = lens.(a) || (flat.(starts.(a) + i) = flat.(starts.(b) + i) && go (i + 1))
+    in
+    go 0
+  in
+  let out_pins = ref [] and out_weights = ref [] in
+  let emit i w =
+    out_pins := Array.sub flat starts.(i) lens.(i) :: !out_pins;
+    out_weights := w :: !out_weights
+  in
+  let i = ref 0 in
+  while !i < kept do
+    let first = idx.(!i) in
+    incr i;
+    let w = ref kept_weight.(first) in
+    if merge_identical then
+      while !i < kept && equal_pins first idx.(!i) do
+        w := !w + kept_weight.(idx.(!i));
+        incr i
+      done;
+    emit first !w
+  done;
+  H.of_edges ~n:count ~node_weights
+    ~edge_weights:(Array.of_list (List.rev !out_weights))
+    (Array.of_list (List.rev !out_pins))
+
+let csr_arrays h =
+  [
+    Array.init (H.num_nodes h) (H.node_weight h);
+    Array.init (H.num_edges h) (H.edge_weight h);
+    H.csr_edge_offsets h;
+    H.csr_pins h;
+    H.csr_node_offsets h;
+    H.csr_incidence h;
+  ]
+
+(* Contraction inputs that reach every branch of the kernel: empty
+   hypergraphs (n = 0), count = 1, labels no node carries, an identity
+   labelling (coarse edges as large as fine ones, past the 16-pin
+   insertion-sort cutoff of Support.Util.sort_int_range), repeated pin
+   sets with differing weights, and empty edges. *)
+let contraction_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 40 in
+    let* edge_specs =
+      list_size (int_range 0 30)
+        (let* size = int_range 0 (min n 24) in
+         let* seed = int_bound 1_000_000 in
+         let* weight = int_range 1 3 in
+         let* copies = frequency [ (3, return 1); (1, int_range 2 4) ] in
+         return (size, seed, weight, copies))
+    in
+    let edges, weights =
+      List.concat_map
+        (fun (size, seed, weight, copies) ->
+          let pins =
+            Support.Rng.sample_distinct (Support.Rng.create seed) ~n ~k:size
+          in
+          List.init copies (fun c -> (pins, weight + c)))
+        edge_specs
+      |> List.split
+    in
+    let* node_weights = array_repeat n (int_range 1 5) in
+    let* mode = int_range 0 2 in
+    let* count =
+      match mode with
+      | 0 -> return n
+      | 1 -> return (if n = 0 then 0 else 1)
+      | _ -> int_range (if n = 0 then 0 else 1) (n + 3)
+    in
+    let* label =
+      if mode = 0 then return (Array.init n Fun.id)
+      else array_repeat n (int_bound (max 0 (count - 1)))
+    in
+    let h =
+      H.of_edges ~n ~node_weights ~edge_weights:(Array.of_list weights)
+        (Array.of_list edges)
+    in
+    return (h, label, count))
+
+let qcheck_contract_matches_oracle =
+  QCheck.Test.make ~name:"contract equals the list-and-of_edges oracle"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (h, label, count) ->
+         Fmt.str "%a@.labels (count %d): %a" H.pp h count
+           Fmt.(array ~sep:sp int)
+           label)
+       contraction_case_gen)
+    (fun (h, label, count) ->
+      List.for_all
+        (fun (drop_singletons, merge_identical) ->
+          csr_arrays (H.contract ~drop_singletons ~merge_identical h label count)
+          = csr_arrays
+              (oracle_contract ~drop_singletons ~merge_identical h label count))
+        [ (true, true); (true, false); (false, true); (false, false) ])
+
 let suite =
   [
     Alcotest.test_case "basic accessors" `Quick test_basic_accessors;
@@ -316,4 +469,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_pin_count;
     QCheck_alcotest.to_alcotest qcheck_incidence_consistent;
     QCheck_alcotest.to_alcotest qcheck_hmetis_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_contract_matches_oracle;
   ]

@@ -613,8 +613,11 @@ let test_serve_drain () =
   let clients = [ c ] in
   (* Get job 1 running (forked), keep job 2 queued, then shut down:
      drain must finish the running worker, skip the queued one, and
-     still answer both waiters. *)
-  S.Client.request c (S.Protocol.Submit { id = 1; job = gen_job ~seed:61 () });
+     still answer both waiters.  Job 1 sleeps for a fixed time: a job
+     that completes inside one daemon step goes from queued to done
+     without ever being reported running. *)
+  let job1 = { (gen_job ~seed:61 ()) with E.Spec.instance = E.Spec.Spin 0.3 } in
+  S.Client.request c (S.Protocol.Submit { id = 1; job = job1 });
   pump ~daemon ~clients "job 1 running" (fun () ->
       S.Client.request c (S.Protocol.Status { id = 1 });
       S.Daemon.step ~timeout:0.002 daemon;
