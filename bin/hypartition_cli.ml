@@ -81,18 +81,11 @@ let algorithm_arg =
 let threads_arg =
   let doc =
     "Solver domains for the multilevel parallel path (0 = the sequential \
-     path).  The parallel path's result is identical for every N >= 1 in \
-     deterministic mode; it is a different algorithm from the sequential \
-     path and does not reproduce its partitions."
+     path).  The parallel path's result is identical for every N >= 1; \
+     it is a different algorithm from the sequential path and does not \
+     reproduce its partitions."
   in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
-
-let no_deterministic_arg =
-  let doc =
-    "Relax the parallel initial-portfolio reduction to completion order \
-     (run-to-run-varying tie-breaks).  Only meaningful with --threads >= 2."
-  in
-  Arg.(value & flag & info [ "no-deterministic" ] ~doc)
 
 let metric_arg =
   let doc = "Cost metric: connectivity (sum of lambda-1) or cutnet." in
@@ -122,7 +115,7 @@ let report hg part metric =
   ignore metric
 
 let run_partition trace stats path k eps seed algorithm metric threads
-    no_deterministic output dot =
+    output dot =
   setup_obs trace stats;
   if threads > 0 && algorithm <> `Multilevel then begin
     Printf.eprintf "error: --threads applies to the multilevel algorithm only\n";
@@ -144,7 +137,6 @@ let run_partition trace stats path k eps seed algorithm metric threads
                   eps;
                   metric;
                   threads;
-                  deterministic = not no_deterministic;
                 }
               rng hg ~k
         | `Recursive ->
@@ -446,7 +438,7 @@ let partition_cmd =
     Term.(
       const run_partition $ trace_arg $ stats_flag $ hypergraph_arg $ k_arg
       $ eps_arg $ seed_arg $ algorithm_arg $ metric_arg $ threads_arg
-      $ no_deterministic_arg $ output_arg $ dot_arg)
+      $ output_arg $ dot_arg)
 
 let stats_cmd =
   let info = Cmd.info "stats" ~doc:"Print hypergraph statistics." in
@@ -1118,8 +1110,9 @@ let analyze_cmd =
   let build_arg =
     let doc =
       "Build directory holding the .cmt files (default: \
-       ROOT/_build/default).  Sources without .cmt coverage are analyzed \
-       via a Parsetree fallback at reduced precision."
+       ROOT/_build/default).  Every source under lib/, bin/ and bench/ \
+       needs a .cmt built from its current text: run `dune build @check` \
+       first.  A source without one is a DOM00 error."
     in
     Arg.(value & opt (some dir) None & info [ "build" ] ~docv:"DIR" ~doc)
   in
@@ -1130,7 +1123,7 @@ let analyze_cmd =
   let format_arg =
     let doc =
       "Output format: text (Check-report rendering) or json (schema \
-       hypartition-analysis/1)."
+       hypartition-analysis/2)."
     in
     Arg.(
       value
@@ -1155,7 +1148,7 @@ let analyze_cmd =
   let effects_out_arg =
     let doc =
       "Also write the parallel-safety certificate (pretty JSON, schema \
-       hypartition-effects/1) to $(docv) — the committed \
+       hypartition-effects/2) to $(docv) — the committed \
        analysis/effects.json artifact, byte-deterministic and gated fresh \
        by CI."
     in
@@ -1610,7 +1603,7 @@ let batch_cmd =
       "Solver domains per worker for ad-hoc FILE jobs (0 = sequential \
        path).  Marks those jobs parallel — a different algorithm, hence a \
        different cache fingerprint — while the result stays independent \
-       of N (the engine always runs the parallel solver deterministically)."
+       of N."
     in
     Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
   in

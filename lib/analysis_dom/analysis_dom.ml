@@ -2,7 +2,6 @@
 
 module Ir = Ir
 module Front_typed = Front_typed
-module Front_parse = Front_parse
 module Callgraph = Callgraph
 module Effects = Effects
 module Dom_rules = Dom_rules

@@ -5,8 +5,7 @@
    Resolution is name-based on purpose.  The typed front emits
    compiler-resolved references normalized to ["Module.func"], so the
    only ambiguity left is within-unit bare calls, which it already
-   qualifies; the Parsetree front emits best-effort names and the same
-   candidate scheme keeps it usable.  Over-approximation (a cold helper
+   qualifies.  Over-approximation (a cold helper
    sharing a dotted name with a hot one) errs toward flagging, which is
    the right direction for a safety gate. *)
 

@@ -1,20 +1,21 @@
 (* The analyzer driver behind `hypartition analyze`: find sources, pair
-   them with the .cmt files a prior `dune build` left under _build,
-   lower every unit through the typed front (Parsetree fallback where no
-   .cmt covers a source), run the call-graph pass and the DOM rules,
-   apply hyplint's suppression machinery, and report through the same
-   Check vocabulary as `hypartition lint` / `hypartition check`.
+   them with the .cmt files a prior `dune build @check` left under
+   _build, lower every unit through the typed front, run the call-graph
+   pass and the DOM rules, apply hyplint's suppression machinery, and
+   report through the same Check vocabulary as `hypartition lint` /
+   `hypartition check`.
 
-   Analyzer-owned hygiene is DOM00: a unit only syntactically covered
-   (no .cmt — reduced precision), a fallback source that does not parse
-   (the analyzer is blind there), and a DOM suppression that matched
-   nothing.  Marker syntax errors and lint.config parse errors stay
-   lint-owned — hyplint already reports them as SRC00, and double
-   reporting would make one typo two findings. *)
+   Analyzer-owned hygiene is DOM00: a source no up-to-date .cmt covers
+   (missing, unreadable, or built from different text — the analyzer
+   would be blind there or see old code, so it is an error), and a DOM
+   suppression that matched nothing.  Marker syntax errors and
+   lint.config parse errors stay lint-owned — hyplint already reports
+   them as SRC00, and double reporting would make one typo two
+   findings. *)
 
 module Check = Analysis_core.Check
 
-let schema_version = "hypartition-analysis/1"
+let schema_version = "hypartition-analysis/2"
 
 (* Directories analyzed under the root.  [test] is deliberately absent:
    the domain-safety contract covers shipped code, and the DOM fixture
@@ -24,8 +25,6 @@ let default_subdirs = [ "lib"; "bin"; "bench" ]
 type result = {
   root : string;
   units : Ir.unit_ir list;  (* sorted by file *)
-  n_typed : int;  (* units lowered from .cmt *)
-  n_parse : int;  (* units lowered from source text only *)
   n_reachable : int;  (* hot-path functions found by the call graph *)
   findings : Lint.Rules.finding list;  (* live (unsuppressed), sorted *)
   suppressed : (Lint.Rules.finding * string) list;  (* finding, reason *)
@@ -87,84 +86,6 @@ let stale_marker_findings ~scans =
         scan.Lint.Suppress.markers)
     scans
 
-(* ---- the pure pipeline -------------------------------------------------- *)
-
-(* Everything after unit lowering is front-independent; both entry
-   points funnel here.  [certificate] is the committed effects.json
-   (path, content) when one exists: DOM11 compares it against this run;
-   without one the comparison is skipped — fixture trees have no
-   certificate and that is not a finding. *)
-let finish ~root ~config ~entries ~scans ~certificate
-    ~(extra : Lint.Rules.finding list) (units : Ir.unit_ir list) =
-  let units = List.sort Ir.compare_units units in
-  let cg = Callgraph.compute ~entries units in
-  let effects = Effects.compute ~cg units in
-  let raw = Dom_rules.evaluate ~cg ~effects units in
-  let raw =
-    raw
-    @ (match certificate with
-      | None -> []
-      | Some (path, content) ->
-          Effects.stale_findings ~certificate_path:path ~certificate:content
-            effects)
-  in
-  let live, suppressed = apply_suppressions ~config ~scans raw in
-  let findings =
-    List.sort Lint.Rules.compare_findings
-      (live @ stale_marker_findings ~scans @ extra)
-  in
-  let n_typed =
-    List.length (List.filter (fun u -> u.Ir.u_front = Ir.Typed) units)
-  in
-  {
-    root;
-    units;
-    n_typed;
-    n_parse = List.length units - n_typed;
-    n_reachable = Callgraph.n_reachable cg;
-    findings;
-    suppressed;
-    inventory = Inventory.to_json ~cg units;
-    effects;
-  }
-
-(* The filesystem-free pipeline over (root-relative path, content)
-   pairs, all lowered through the Parsetree front — what the fixture
-   tests drive. *)
-let analyze_sources ?(config = []) ?(entries = Callgraph.default_entries)
-    ?certificate ~root files =
-  let mls =
-    List.filter (fun (path, _) -> Filename.check_suffix path ".ml") files
-  in
-  let scans =
-    List.map
-      (fun (path, source) -> (path, Lint.Suppress.scan_inline source))
-      mls
-  in
-  let units, extra =
-    List.fold_left
-      (fun (units, extra) (path, source) ->
-        match Front_parse.parse_string ~file:path source with
-        | Ok str ->
-            let has_mli =
-              List.exists (fun (p, _) -> p = path ^ "i") files
-            in
-            (Front_parse.extract ~file:path ~has_mli str :: units, extra)
-        | Error what ->
-            ( units,
-              {
-                Lint.Rules.rule = "DOM00";
-                severity = Check.Error;
-                file = path;
-                line = 1;
-                col = 0;
-                message = "cannot analyze, does not parse: " ^ what;
-              }
-              :: extra ))
-      ([], []) mls
-  in
-  finish ~root ~config ~entries ~scans ~certificate ~extra units
-
 (* ---- filesystem walk ---------------------------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -210,6 +131,17 @@ let source_of_cmt ~rel_paths src =
       (fun rel -> String.ends_with ~suffix:("/" ^ rel) src)
       rel_paths
 
+(* DOM00 for a source the analyzer cannot see as it is now. *)
+let coverage_error rel why =
+  {
+    Lint.Rules.rule = "DOM00";
+    severity = Check.Error;
+    file = rel;
+    line = 1;
+    col = 0;
+    message = why ^ "; run `dune build @check` before analyzing";
+  }
+
 let run ?config_path ?(entries = Callgraph.default_entries) ?build_dir ~root ()
     =
   if not (Sys.file_exists root && Sys.is_directory root) then
@@ -240,17 +172,9 @@ let run ?config_path ?(entries = Callgraph.default_entries) ?build_dir ~root ()
     in
     let files = List.sort (fun (_, a) (_, b) -> String.compare a b) files in
     let rel_paths = List.map snd files in
-    let mls =
-      List.filter (fun (_, rel) -> Filename.check_suffix rel ".ml") files
-    in
     let has_mli rel = List.mem (rel ^ "i") rel_paths in
-    let scans =
-      List.map
-        (fun (abs, rel) -> (rel, Lint.Suppress.scan_inline (read_file abs)))
-        mls
-    in
-    (* Typed units: every readable implementation .cmt whose source is
-       one of ours; first cmt claiming a source wins. *)
+    (* Every readable implementation .cmt whose source is one of ours;
+       first cmt claiming a source wins. *)
     let build_dir =
       match build_dir with
       | Some d -> d
@@ -272,59 +196,77 @@ let run ?config_path ?(entries = Callgraph.default_entries) ?build_dir ~root ()
                       { tu with Front_typed.tu_source = rel }
               | None -> ()))
         (List.sort String.compare (walk_cmts build_dir []));
-    let typed_units =
-      List.filter_map (fun (_, rel) -> Hashtbl.find_opt covered rel) mls
+    (* Pair each implementation with its .cmt.  The cmt records the
+       digest of the text it was compiled from, so an edit made after
+       the last build is caught here instead of analyzed as the old
+       code. *)
+    let mls =
+      List.filter (fun (_, rel) -> Filename.check_suffix rel ".ml") files
     in
+    let typed, uncovered =
+      List.partition_map
+        (fun (abs, rel) ->
+          let source = read_file abs in
+          match Hashtbl.find_opt covered rel with
+          | None ->
+              Either.Right
+                (coverage_error rel
+                   "no .cmt in the build directory covers this file")
+          | Some tu
+            when tu.Front_typed.tu_digest <> Some (Digest.string source) ->
+              Either.Right
+                (coverage_error rel
+                   "this file changed after its .cmt was built, so the .cmt \
+                    describes older code")
+          | Some tu -> Either.Left (tu, Lint.Suppress.scan_inline source))
+        mls
+    in
+    let scans =
+      List.map (fun (tu, scan) -> (tu.Front_typed.tu_source, scan)) typed
+    in
+    let typed_units = List.map fst typed in
     let known = Front_typed.harvest typed_units in
-    let units_typed =
-      List.map
-        (fun tu ->
-          Front_typed.extract ~known
-            ~has_mli:(has_mli tu.Front_typed.tu_source)
-            tu)
-        typed_units
+    let units =
+      List.sort Ir.compare_units
+        (List.map
+           (fun tu ->
+             Front_typed.extract ~known
+               ~has_mli:(has_mli tu.Front_typed.tu_source)
+               tu)
+           typed_units)
     in
-    (* Parsetree fallback for uncovered sources, each flagged DOM00 so
-       reduced precision is visible in the report. *)
-    let units_parse, extra =
-      List.fold_left
-        (fun (units, extra) (abs, rel) ->
-          if Hashtbl.mem covered rel then (units, extra)
-          else
-            let fallback_note severity message =
-              {
-                Lint.Rules.rule = "DOM00";
-                severity;
-                file = rel;
-                line = 1;
-                col = 0;
-                message;
-              }
-            in
-            match Front_parse.parse_string ~file:rel (read_file abs) with
-            | Ok str ->
-                ( Front_parse.extract ~file:rel ~has_mli:(has_mli rel) str
-                  :: units,
-                  fallback_note Check.Warning
-                    "no .cmt under _build covers this file; analyzed via \
-                     Parsetree fallback (reduced precision) — run `dune \
-                     build` first"
-                  :: extra )
-            | Error what ->
-                ( units,
-                  fallback_note Check.Error
-                    ("cannot analyze, does not parse: " ^ what)
-                  :: extra ))
-        ([], []) mls
-    in
-    let certificate =
+    let cg = Callgraph.compute ~entries units in
+    let effects = Effects.compute ~cg units in
+    (* The committed certificate, when there is one: DOM11 compares it
+       against this run.  Trees without one (test fixtures) skip the
+       comparison — that is not a finding.  So does a run with DOM00
+       coverage errors: the certificate describes the whole program,
+       and the units left out would only resurface as spurious
+       unreachable entries. *)
+    let stale_certificate =
       let path = "analysis/effects.json" in
       let abs = Filename.concat root path in
-      if Sys.file_exists abs then Some (path, read_file abs) else None
+      if uncovered = [] && Sys.file_exists abs then
+        Effects.stale_findings ~certificate_path:path
+          ~certificate:(read_file abs) effects
+      else []
+    in
+    let live, suppressed =
+      apply_suppressions ~config ~scans
+        (Dom_rules.evaluate ~cg ~effects units @ stale_certificate)
     in
     Ok
-      (finish ~root ~config ~entries ~scans ~certificate ~extra
-         (units_typed @ units_parse))
+      {
+        root;
+        units;
+        n_reachable = Callgraph.n_reachable cg;
+        findings =
+          List.sort Lint.Rules.compare_findings
+            (live @ stale_marker_findings ~scans @ uncovered);
+        suppressed;
+        inventory = Inventory.to_json ~cg units;
+        effects;
+      }
   end
 
 (* ---- reporting ---------------------------------------------------------- *)
@@ -333,8 +275,7 @@ let report t =
   let ctx =
     Check.create
       ~subject:
-        (Printf.sprintf "%s (%d units: %d typed, %d parsetree)" t.root
-           (List.length t.units) t.n_typed t.n_parse)
+        (Printf.sprintf "%s (%d units)" t.root (List.length t.units))
   in
   List.iter
     (fun (f : Lint.Rules.finding) ->
@@ -376,8 +317,6 @@ let to_json t =
       ("schema", Obs.Json.Str schema_version);
       ("root", Obs.Json.Str t.root);
       ("units", Obs.Json.Int (List.length t.units));
-      ("typed_units", Obs.Json.Int t.n_typed);
-      ("parsetree_units", Obs.Json.Int t.n_parse);
       ("reachable_functions", Obs.Json.Int t.n_reachable);
       ( "findings",
         Obs.Json.Arr (List.map (finding_to_json ?reason:None) t.findings) );

@@ -1,11 +1,11 @@
 (** The analyzer driver behind [hypartition analyze]: pair sources with
-    the [.cmt]s a prior [dune build] produced, lower each unit (typed
-    front, Parsetree fallback), run the call-graph pass and the DOM
-    rules, apply hyplint's suppression machinery, and report through the
-    same {!Check} vocabulary as [lint] / [check]. *)
+    the [.cmt]s a prior [dune build @check] produced, lower each unit
+    through {!Front_typed}, run the call-graph pass and the DOM rules,
+    apply hyplint's suppression machinery, and report through the same
+    {!Check} vocabulary as [lint] / [check]. *)
 
 val schema_version : string
-(** Schema tag of the [--format json] output, ["hypartition-analysis/1"]. *)
+(** Schema tag of the [--format json] output, ["hypartition-analysis/2"]. *)
 
 val default_subdirs : string list
 (** Directories analyzed under the root: [lib], [bin], [bench].  [test]
@@ -15,8 +15,6 @@ val default_subdirs : string list
 type result = {
   root : string;
   units : Ir.unit_ir list;  (** sorted by file *)
-  n_typed : int;  (** units lowered from [.cmt] *)
-  n_parse : int;  (** units lowered from source text only *)
   n_reachable : int;  (** hot-path functions found by the call graph *)
   findings : Lint.Rules.finding list;  (** live (unsuppressed), sorted *)
   suppressed : (Lint.Rules.finding * string) list;
@@ -24,19 +22,6 @@ type result = {
   inventory : Obs.Json.t;  (** {!Inventory.to_json} of the same run *)
   effects : Effects.t;  (** the interprocedural effect analysis *)
 }
-
-val analyze_sources :
-  ?config:Lint.Suppress.config ->
-  ?entries:(string * string) list ->
-  ?certificate:string * string ->
-  root:string ->
-  (string * string) list ->
-  result
-(** The filesystem-free pipeline over (root-relative path, content)
-    pairs, all lowered through the Parsetree front — what the fixture
-    tests drive.  [entries] defaults to {!Callgraph.default_entries};
-    [certificate] is a committed effects.json as (path, content), and
-    when present DOM11 compares it against the run. *)
 
 val run :
   ?config_path:string ->
@@ -46,12 +31,15 @@ val run :
   unit ->
   (result, string) Stdlib.result
 (** Walk [root]'s {!default_subdirs}, read suppressions from
-    [lint.config], harvest and lower every unit ([build_dir] defaults to
-    [root/_build/default]), and analyze.  Sources without [.cmt]
-    coverage fall back to the Parsetree front and carry a DOM00 warning
-    noting the reduced precision.  When [root/analysis/effects.json]
-    exists it is loaded as the committed certificate and DOM11 checks it
-    for staleness. *)
+    [config_path] (default [root/lint.config]), harvest and lower every
+    unit from the [.cmt]s under [build_dir] (default
+    [root/_build/default]), and analyze.  [entries] defaults to
+    {!Callgraph.default_entries}.  An implementation with no [.cmt], or
+    whose [.cmt] was built from different text (source digest
+    mismatch), is left out and carries a DOM00 error naming
+    [dune build @check].  When [root/analysis/effects.json] exists and
+    every source is covered, it is loaded as the committed certificate
+    and DOM11 checks it for staleness. *)
 
 val report : result -> Analysis_core.Check.report
 (** One evaluation per catalogue rule plus one violation per live

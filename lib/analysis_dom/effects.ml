@@ -16,7 +16,7 @@
 module I = Ir
 module J = Obs.Json
 
-let schema_version = "hypartition-effects/1"
+let schema_version = "hypartition-effects/2"
 
 type classification =
   | Pure
@@ -52,7 +52,6 @@ type info = {
   e_module : string;
   e_file : string;
   e_line : int;
-  e_front : I.front;
   e_sig : signature_;  (* after fixpoint *)
   e_direct_writes : string list;  (* this body's own writes — the leaf facts *)
   e_class : classification;
@@ -318,7 +317,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   (* Collect every function with its unit context, in deterministic
      order; first definition of a key wins, same as the call graph. *)
   let order = ref [] in
-  let ctx : (string, I.func * string * I.front) Hashtbl.t =
+  let ctx : (string, I.func * string) Hashtbl.t =
     Hashtbl.create 256
   in
   List.iter
@@ -327,7 +326,7 @@ let compute ~cg (units : I.unit_ir list) : t =
         (fun (f : I.func) ->
           let key = f.I.f_module ^ "." ^ f.I.f_name in
           if not (Hashtbl.mem ctx key) then begin
-            Hashtbl.replace ctx key (f, u.I.u_file, u.I.u_front);
+            Hashtbl.replace ctx key (f, u.I.u_file);
             order := key :: !order
           end)
         u.I.u_funcs)
@@ -339,7 +338,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   in
   List.iter
     (fun key ->
-      let f, _, _ = Hashtbl.find ctx key in
+      let f, _ = Hashtbl.find ctx key in
       Hashtbl.replace base key (base_facts ~cg ~unsafe ~known f))
     keys;
   let callees key =
@@ -353,7 +352,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   let sigs : (string, signature_) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun key ->
-      let f, _, _ = Hashtbl.find ctx key in
+      let f, _ = Hashtbl.find ctx key in
       let _, reads, writes, externals = Hashtbl.find base key in
       Hashtbl.replace sigs key
         {
@@ -401,7 +400,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   let infos =
     List.map
       (fun key ->
-        let f, file, front = Hashtbl.find ctx key in
+        let f, file = Hashtbl.find ctx key in
         let s = Hashtbl.find sigs key in
         let s =
           { s with s_reads = List.filter (fun r -> not (List.mem r s.s_writes)) s.s_reads }
@@ -411,7 +410,6 @@ let compute ~cg (units : I.unit_ir list) : t =
           e_module = f.I.f_module;
           e_file = file;
           e_line = f.I.f_line;
-          e_front = front;
           e_sig = s;
           e_direct_writes = direct_writes key;
           e_class = classify s;
@@ -440,7 +438,6 @@ let info_to_json (i : info) =
       ("function", J.Str i.e_key);
       ("file", J.Str i.e_file);
       ("line", J.Int i.e_line);
-      ("front", J.Str (I.front_to_string i.e_front));
       ("classification", J.Str (classification_to_string i.e_class));
       ("reads", str_arr i.e_sig.s_reads);
       ("writes", str_arr i.e_sig.s_writes);

@@ -5,7 +5,7 @@
     [analysis/effects.json]. *)
 
 val schema_version : string
-(** Schema tag of the certificate, ["hypartition-effects/1"]. *)
+(** Schema tag of the certificate, ["hypartition-effects/2"]. *)
 
 type classification =
   | Pure  (** no effects at all *)
@@ -35,7 +35,6 @@ type info = {
   e_module : string;
   e_file : string;
   e_line : int;
-  e_front : Ir.front;
   e_sig : signature_;  (** after fixpoint *)
   e_direct_writes : string list;
       (** this body's own global writes — where DOM07 fires *)

@@ -1,5 +1,5 @@
 (* The typed front of the domain-safety analyzer: lower a compiler
-   [.cmt] file (compiler-libs [Cmt_format] + [Typedtree]) to the neutral
+   [.cmt] file (compiler-libs [Cmt_format] + [Typedtree]) to
    {!Ir.unit_ir}.
 
    Working on the typed tree buys exactly what the Parsetree cannot
@@ -25,9 +25,178 @@
 
 module I = Ir
 
+(* ---- name normalization ------------------------------------------------- *)
+
+(* Compiler paths arrive mangled by dune's module-name prefixing:
+   ["Solvers__Refine.best_move"], ["Solvers__.Pin_counts.t"],
+   ["Stdlib.ref"].  Normalization makes them comparable across units:
+   drop alias-root components (trailing "__"), unprefix
+   "Lib__Module" to "Module", and strip a leading "Stdlib". *)
+
+let split_on_string ~sep s =
+  let seplen = String.length sep and n = String.length s in
+  let rec go start i acc =
+    if i + seplen > n then List.rev (String.sub s start (n - start) :: acc)
+    else if String.sub s i seplen = sep then
+      go (i + seplen) (i + seplen) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
+  in
+  if seplen = 0 then [ s ] else go 0 0 []
+
+let normalize_component comp =
+  if String.length comp >= 2 && String.ends_with ~suffix:"__" comp then None
+  else
+    match List.rev (split_on_string ~sep:"__" comp) with
+    | last :: _ :: _ when last <> "" -> Some last
+    | _ -> Some comp
+
+let normalize_path name =
+  let comps = String.split_on_char '.' name in
+  let comps = List.filter_map normalize_component comps in
+  let comps =
+    match comps with
+    | "Stdlib" :: (_ :: _ as rest) -> rest
+    | comps -> comps
+  in
+  String.concat "." comps
+
+(* "Solvers__Refine" -> "Refine"; "Dune__exe__Main" -> "Main". *)
+let module_of_unit name =
+  match normalize_component name with Some m -> m | None -> name
+
+(* Suffix match on dotted paths: [ends_with_path "Workspace.t"] accepts
+   "Workspace.t" and "Solvers.Workspace.t" but not "Xworkspace.t". *)
+let ends_with_path ~suffix name =
+  name = suffix
+  || String.ends_with ~suffix:("." ^ suffix) name
+
+(* Name-based kind classification: given a normalized type-constructor
+   path, the kinds recognizable without any type environment.  Ownership kinds (Workspace/Rng/obs handles) match
+   by dotted suffix so that fixture modules defining their own
+   [Workspace.t] classify like the real one.  Everything else —
+   repo-defined mutable records, aliases — is the {!harvest} pass. *)
+let classify_name name : I.kind option =
+  if ends_with_path ~suffix:"Workspace.t" name then Some I.Workspace
+  else if
+    ends_with_path ~suffix:"Rng.t" name
+    || ends_with_path ~suffix:"Random.State.t" name
+  then Some I.Rng
+  else if
+    ends_with_path ~suffix:"Counter.t" name
+    || ends_with_path ~suffix:"Gauge.t" name
+    || ends_with_path ~suffix:"Histogram.t" name
+  then Some I.Obs_handle
+  else if ends_with_path ~suffix:"Atomic.t" name then Some I.Atomic
+  else if
+    ends_with_path ~suffix:"Mutex.t" name
+    || ends_with_path ~suffix:"Semaphore.Counting.t" name
+    || ends_with_path ~suffix:"Semaphore.Binary.t" name
+  then Some I.Mutex
+  else if name = "ref" then Some I.Ref
+  else if name = "array" || name = "floatarray" || ends_with_path ~suffix:"Floatarray.t" name
+  then Some I.Array
+  else if name = "bytes" || ends_with_path ~suffix:"Bytes.t" name then Some I.Bytes
+  else if ends_with_path ~suffix:"Hashtbl.t" name then Some I.Hashtbl_poly
+  else if name = "lazy_t" || ends_with_path ~suffix:"Lazy.t" name then Some I.Lazy
+  else if
+    ends_with_path ~suffix:"Queue.t" name
+    || ends_with_path ~suffix:"Stack.t" name
+    || ends_with_path ~suffix:"Buffer.t" name
+  then Some I.Container
+  else None
+
+(* A container (tuple, option, list, ...) of a mutable value is itself
+   shared mutable state; ownership kinds and the safe kinds keep their
+   identity through the shell so the rules still see them. *)
+let container_of = function
+  | (I.Workspace | I.Rng | I.Atomic | I.Mutex | I.Obs_handle) as k -> k
+  | _ -> I.Container
+
+let kind_is_safe = function I.Atomic | I.Mutex -> true | _ -> false
+
+(* ---- shared name predicates ---------------------------------------------- *)
+
+(* Per-event obs emission entry points (the batched-flush contract says
+   hot loops accumulate into plain ints and flush once per pass with
+   [Counter.add]). *)
+let obs_emit_name name =
+  ends_with_path ~suffix:"Counter.incr" name
+  || ends_with_path ~suffix:"Histogram.observe" name
+  || ends_with_path ~suffix:"Histogram.observe_int" name
+  || ends_with_path ~suffix:"Gauge.set" name
+
+(* The stdlib's implicit-state PRNG entry points (excludes the explicit
+   [Random.State.*] API, which normalizes to "Random.State.<fn>"). *)
+let random_global_name name =
+  match name with
+  | "Random.bits" | "Random.int" | "Random.int32" | "Random.int64"
+  | "Random.nativeint" | "Random.float" | "Random.bool" | "Random.full_int"
+  | "Random.self_init" | "Random.init" | "Random.full_init"
+  | "Random.set_state" | "Random.get_state" ->
+      true
+  | _ -> false
+
+(* Callback-taking iteration functions, as in hyplint's SRC02: a function
+   literal passed to one of these runs once per element, so it counts as
+   a loop body for DOM04. *)
+let is_iterish name =
+  let last =
+    match List.rev (String.split_on_char '.' name) with
+    | last :: _ -> last
+    | [] -> name
+  in
+  List.mem last
+    [
+      "iter"; "iteri"; "iter2"; "map"; "mapi"; "map2"; "rev_map";
+      "concat_map"; "filter_map"; "filter"; "find"; "find_opt"; "find_map";
+      "exists"; "for_all"; "partition"; "fold_left"; "fold_right"; "fold";
+      "init"; "sort"; "sort_uniq"; "stable_sort";
+    ]
+  || String.starts_with ~prefix:"iter_" last
+  || String.starts_with ~prefix:"fold_" last
+
+(* Store operations whose first argument is the stored-into subject and
+   which retain the stored value: [Hashtbl.add tbl k v] with [tbl] a
+   module global makes [v] module state — escape material. *)
+let is_store_fn name =
+  ends_with_path ~suffix:"Hashtbl.add" name
+  || ends_with_path ~suffix:"Hashtbl.replace" name
+  || ends_with_path ~suffix:"Queue.add" name
+  || ends_with_path ~suffix:"Queue.push" name
+  || ends_with_path ~suffix:"Stack.push" name
+
+(* The wider set for the effect analysis: calls that mutate their first
+   argument without necessarily retaining anything.  A call whose subject
+   is a module global is a write to it; on a local/parameter it is the
+   Workspace-local shape. *)
+let mutates_subject_fn name =
+  is_store_fn name || name = "incr" || name = "decr"
+  || ends_with_path ~suffix:"Hashtbl.remove" name
+  || ends_with_path ~suffix:"Hashtbl.clear" name
+  || ends_with_path ~suffix:"Hashtbl.reset" name
+  || ends_with_path ~suffix:"Hashtbl.filter_map_inplace" name
+  || ends_with_path ~suffix:"Array.set" name
+  || ends_with_path ~suffix:"Array.fill" name
+  || ends_with_path ~suffix:"Array.blit" name
+  || ends_with_path ~suffix:"Array.sort" name
+  || ends_with_path ~suffix:"Array.fast_sort" name
+  || ends_with_path ~suffix:"Array.stable_sort" name
+  || ends_with_path ~suffix:"Bytes.set" name
+  || ends_with_path ~suffix:"Bytes.fill" name
+  || ends_with_path ~suffix:"Bytes.blit" name
+  || ends_with_path ~suffix:"Queue.pop" name
+  || ends_with_path ~suffix:"Queue.take" name
+  || ends_with_path ~suffix:"Queue.clear" name
+  || ends_with_path ~suffix:"Stack.pop" name
+  || ends_with_path ~suffix:"Stack.clear" name
+  || ends_with_path ~suffix:"Buffer.clear" name
+  || ends_with_path ~suffix:"Buffer.reset" name
+  || String.starts_with ~prefix:"Buffer.add_" name
+
 type typed_unit = {
   tu_modname : string;  (* raw compilation-unit name, e.g. "Solvers__Refine" *)
   tu_source : string;  (* root-relative source path recorded in the cmt *)
+  tu_digest : Digest.t option;  (* digest of the source the cmt was built from *)
   tu_str : Typedtree.structure;
 }
 
@@ -40,10 +209,17 @@ let read_cmt path =
   | { Cmt_format.cmt_annots = Cmt_format.Implementation str;
       cmt_modname;
       cmt_sourcefile = Some src;
+      cmt_source_digest;
       _;
     }
     when not (String.ends_with ~suffix:"__" cmt_modname) ->
-      Some { tu_modname = cmt_modname; tu_source = src; tu_str = str }
+      Some
+        {
+          tu_modname = cmt_modname;
+          tu_source = src;
+          tu_digest = cmt_source_digest;
+          tu_str = str;
+        }
   | _ -> None
   | exception _ -> None
 
@@ -60,8 +236,8 @@ let rec classify_type ~known ~ctx ?(depth = 0) (ty : Types.type_expr) :
   else
     match Types.get_desc ty with
     | Tconstr (p, args, _) -> (
-        let name = I.normalize_path (Path.name p) in
-        match I.classify_name name with
+        let name = normalize_path (Path.name p) in
+        match classify_name name with
         | Some k -> Some k
         | None ->
             if known_mutable ~known ~ctx name then Some I.Mutable_record
@@ -72,14 +248,14 @@ let rec classify_type ~known ~ctx ?(depth = 0) (ty : Types.type_expr) :
                   (fun a -> classify_type ~known ~ctx ~depth:(depth + 1) a)
                   args
               in
-              (match inner with [] -> None | k :: _ -> Some (I.container_of k)))
+              (match inner with [] -> None | k :: _ -> Some (container_of k)))
     | Ttuple ts ->
         let inner =
           List.filter_map
             (fun t -> classify_type ~known ~ctx ~depth:(depth + 1) t)
             ts
         in
-        (match inner with [] -> None | k :: _ -> Some (I.container_of k))
+        (match inner with [] -> None | k :: _ -> Some (container_of k))
     | Tpoly (t, _) -> classify_type ~known ~ctx ~depth:(depth + 1) t
     | _ -> None
 
@@ -98,12 +274,12 @@ let rec type_mentions ?(depth = 0) (ty : Types.type_expr) : string list =
   else
     match Types.get_desc ty with
     | Tconstr (p, args, _) ->
-        let name = I.normalize_path (Path.name p) in
+        let name = normalize_path (Path.name p) in
         let here =
-          if I.ends_with_path ~suffix:"Workspace.t" name then [ "Workspace.t" ]
+          if ends_with_path ~suffix:"Workspace.t" name then [ "Workspace.t" ]
           else if
-            I.ends_with_path ~suffix:"Rng.t" name
-            || I.ends_with_path ~suffix:"Random.State.t" name
+            ends_with_path ~suffix:"Rng.t" name
+            || ends_with_path ~suffix:"Random.State.t" name
           then [ "Rng.t" ]
           else []
         in
@@ -179,7 +355,7 @@ let decl_facts tu =
               | Some ct -> (
                   match Types.get_desc ct.ctyp_type with
                   | Tconstr (p, _, _) ->
-                      let name = I.normalize_path (Path.name p) in
+                      let name = normalize_path (Path.name p) in
                       (* innermost-first qualification candidates *)
                       let rec prefixes acc = function
                         | [] -> List.rev acc
@@ -208,13 +384,13 @@ let decl_facts tu =
     | Tmod_constraint (inner, _, _, _) -> module_expr prefix inner
     | _ -> ()
   in
-  items (I.module_of_unit tu.tu_modname) tu.tu_str.str_items;
+  items (module_of_unit tu.tu_modname) tu.tu_str.str_items;
   List.rev !facts
 
 (* The fixpoint: a name is known-mutable if declared as a mutable record,
    if its manifest is a builtin mutable constructor, or if its manifest
    resolves to a known-mutable name.  Aliases to the safe wrappers
-   ([Atomic.t]) or to ownership types do not propagate here — {!Ir.classify_name}
+   ([Atomic.t]) or to ownership types do not propagate here — {!classify_name}
    already recognizes them structurally wherever they appear. *)
 let harvest units =
   let known : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -223,8 +399,8 @@ let harvest units =
     (fun f -> match f with Fact_mutable key -> Hashtbl.replace known key () | _ -> ())
     facts;
   let builtin name =
-    match I.classify_name name with
-    | Some k -> (not (I.kind_is_safe k)) && k <> I.Obs_handle
+    match classify_name name with
+    | Some k -> (not (kind_is_safe k)) && k <> I.Obs_handle
     | None -> false
   in
   let changed = ref true in
@@ -254,14 +430,8 @@ let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
 let print_type ty = Format.asprintf "%a" Printtyp.type_scheme ty
 
-(* Name predicates live in {!Ir} so both fronts consult the same set. *)
-let obs_emit_name = I.obs_emit_name
-let random_global_name = I.random_global_name
-let is_iterish = I.is_iterish
-let is_store_fn = I.is_store_fn
-
 let extract ~known ~has_mli tu : I.unit_ir =
-  let unit_mod = I.module_of_unit tu.tu_modname in
+  let unit_mod = module_of_unit tu.tu_modname in
   let file = tu.tu_source in
   (* Pass A: toplevel idents (stamp-exact) and their unit-local paths. *)
   let toplevel : (Ident.t * string) list ref = ref [] in
@@ -338,7 +508,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
         | Some path -> Some (unit_mod ^ "." ^ path)
         | None -> None)
     | Texp_ident ((Path.Pdot _ as p), _, _) ->
-        Some (I.normalize_path (Path.name p))
+        Some (normalize_path (Path.name p))
     | _ -> None
   in
   let is_module_global e = global_name_of e <> None in
@@ -360,7 +530,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
           (* a mutable field projected out of a Workspace: interior
              scratch escaping its owner (DOM08 material when stored) *)
           match classify_type ~known ~ctx:[] ex.exp_type with
-          | Some k when not (I.kind_is_safe k) ->
+          | Some k when not (kind_is_safe k) ->
               acc := "Workspace interior" :: !acc
           | _ -> ())
       | _ -> ());
@@ -402,7 +572,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
           | Some path -> refs := (unit_mod ^ "." ^ path) :: !refs
           | None -> ())
       | _ ->
-          let name = I.normalize_path (Path.name p) in
+          let name = normalize_path (Path.name p) in
           refs := name :: !refs;
           if random_global_name name then
             randoms :=
@@ -441,7 +611,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
       match e.exp_desc with
       | Texp_ident (p, lid, _) -> record_path p lid.loc
       | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, args) ->
-          let name = I.normalize_path (Path.name p) in
+          let name = normalize_path (Path.name p) in
           record_path p lid.loc;
           let plain () =
             List.iter
@@ -456,7 +626,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
                   ~desc:"stored through := into a module-global ref"
                   (owned_mentions_in rhs);
               plain ()
-          | _ when I.mutates_subject_fn name ->
+          | _ when mutates_subject_fn name ->
               (match args with
               | (_, Some subject) :: rest ->
                   note_mutation subject;
@@ -508,7 +678,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
   let aliases = ref [] in
   let rec module_path (me : Typedtree.module_expr) =
     match me.mod_desc with
-    | Tmod_ident (p, _) -> Some (I.normalize_path (Path.name p))
+    | Tmod_ident (p, _) -> Some (normalize_path (Path.name p))
     | Tmod_constraint (inner, _, _, _) -> module_path inner
     | _ -> None
   in
@@ -542,7 +712,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
                         g_col = col_of loc;
                         g_type = print_type ty;
                         g_kind = kind;
-                        g_safe = I.kind_is_safe kind;
+                        g_safe = kind_is_safe kind;
                       }
                       :: !globals
                 | None -> ());
@@ -557,7 +727,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
                   in
                   let ret_kind =
                     match classify_type ~known ~ctx ret_ty with
-                    | Some k when not (I.kind_is_safe k) ->
+                    | Some k when not (kind_is_safe k) ->
                         Some (I.kind_to_string k)
                     | _ -> None
                   in
@@ -606,7 +776,6 @@ let extract ~known ~has_mli tu : I.unit_ir =
   {
     I.u_module = unit_mod;
     u_file = file;
-    u_front = I.Typed;
     u_has_mli = has_mli;
     u_globals = List.rev !globals;
     u_funcs = List.rev !funcs;

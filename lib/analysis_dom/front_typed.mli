@@ -1,14 +1,15 @@
-(** The typed front: lower compiler [.cmt] files to {!Ir.unit_ir}.
+(** The analyzer's front end: lower compiler [.cmt] files to
+    {!Ir.unit_ir}.
 
-    Precision the Parsetree fallback cannot match: references are
-    compiler-resolved paths (no scope guessing), and bindings are
-    classified by their principal type, so repo-defined mutable records
-    and aliases ([Obs.Counter.t]) are recognized through abstraction
-    boundaries via the {!harvest} pass. *)
+    References are compiler-resolved paths (no scope guessing), and
+    bindings are classified by their principal type, so repo-defined
+    mutable records and aliases ([Obs.Counter.t]) are recognized through
+    abstraction boundaries via the {!harvest} pass. *)
 
 type typed_unit = {
   tu_modname : string;  (* raw compilation-unit name, e.g. "Solvers__Refine" *)
   tu_source : string;  (* root-relative source path recorded in the cmt *)
+  tu_digest : Digest.t option;  (* digest of the source the cmt was built from *)
   tu_str : Typedtree.structure;
 }
 (** One successfully-read implementation [.cmt]. *)

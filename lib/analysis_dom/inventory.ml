@@ -1,5 +1,5 @@
 (* The machine-readable mutable-state inventory: every module-level
-   mutable binding the fronts found, with kind, domain-safety and
+   mutable binding the typed front found, with kind, domain-safety and
    hot-path reachability, plus per-unit coverage.  The rendering is
    fully deterministic (sorted, no timestamps) so the committed
    [analysis/inventory.json] diffs cleanly — state growth shows up in
@@ -36,7 +36,6 @@ let unit_to_json (u : I.unit_ir) =
     [
       ("module", J.Str u.I.u_module);
       ("file", J.Str u.I.u_file);
-      ("front", J.Str (I.front_to_string u.I.u_front));
       ("has_mli", J.Bool u.I.u_has_mli);
       ("globals", J.Int (List.length u.I.u_globals));
       ("functions", J.Int (List.length u.I.u_funcs));

@@ -1,11 +1,8 @@
-(** The front-end-neutral IR of the domain-safety analyzer.
+(** The intermediate representation of the domain-safety analyzer.
 
-    Both the typed ([.cmt]) front and the Parsetree fallback lower a
-    compilation unit to a {!unit_ir}; the DOM rules and the call-graph
-    pass consume only this representation, so every rule works — with
-    stated precision differences — from either front. *)
-
-type front = Typed | Parsetree_only
+    {!Front_typed} lowers each compilation unit's [.cmt] to a
+    {!unit_ir}; the call graph, the effect analysis and the DOM rules
+    consume only this representation. *)
 
 type kind =
   | Ref
@@ -65,7 +62,6 @@ type func = {
 type unit_ir = {
   u_module : string;
   u_file : string;
-  u_front : front;
   u_has_mli : bool;
   u_globals : global list;
   u_funcs : func list;
@@ -79,55 +75,5 @@ type unit_ir = {
           graph resolve references made through library roots. *)
 }
 
-val normalize_path : string -> string
-(** Make compiler paths comparable across units: ["Solvers__.Pin_counts.t"]
-    and ["Solvers__Workspace.t"] become ["Pin_counts.t"] /
-    ["Workspace.t"]; a leading ["Stdlib."] is stripped. *)
-
-val module_of_unit : string -> string
-(** ["Solvers__Refine"] -> ["Refine"]; ["Dune__exe__Main"] -> ["Main"]. *)
-
-val ends_with_path : suffix:string -> string -> bool
-(** Dotted-path suffix match: ["Workspace.t"] accepts
-    ["Solvers.Workspace.t"] but not ["Xworkspace.t"]. *)
-
-val classify_name : string -> kind option
-(** Kind of a normalized type-constructor path, when recognizable without
-    a type environment: builtin mutable constructors ([ref], [array],
-    [Hashtbl.t], ...), the domain-safe wrappers ([Atomic.t], [Mutex.t]),
-    and the ownership types matched by dotted suffix ([Workspace.t],
-    [Rng.t]/[Random.State.t], obs [Counter.t]/[Gauge.t]/[Histogram.t]).
-    Repo-defined mutable records need the typed front's harvest pass. *)
-
-val container_of : kind -> kind
-(** The kind of an immutable shell (tuple/option/list/...) holding a
-    value of the given kind: ownership and safe kinds survive, everything
-    else becomes [Container]. *)
-
-val kind_is_safe : kind -> bool
-(** [Atomic] and [Mutex] — mutable but domain-safe by construction. *)
-
-val obs_emit_name : string -> bool
-(** Per-event obs emission entry points ([Counter.incr],
-    [Histogram.observe], [Gauge.set], ...) — DOM04 material in loops. *)
-
-val random_global_name : string -> bool
-(** The stdlib's implicit-state PRNG entry points ([Random.int], ...);
-    excludes the explicit [Random.State.*] API. *)
-
-val is_iterish : string -> bool
-(** Callback-taking iteration functions whose function-literal arguments
-    run once per element (loop bodies for DOM04). *)
-
-val is_store_fn : string -> bool
-(** Store operations whose first argument is the stored-into subject and
-    which retain the stored value ([Hashtbl.add], [Queue.push], ...). *)
-
-val mutates_subject_fn : string -> bool
-(** The wider effect-analysis set: calls that mutate their first
-    argument ([Array.fill], [Hashtbl.clear], [incr], ...), retaining or
-    not.  Superset of {!is_store_fn}. *)
-
 val kind_to_string : kind -> string
-val front_to_string : front -> string
 val compare_units : unit_ir -> unit_ir -> int

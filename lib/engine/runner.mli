@@ -24,7 +24,7 @@ val execute :
 
     [?threads] (default 1) is the domain count for jobs whose config has
     [parallel = true]; it bounds the run without changing its result —
-    the engine always drives the parallel solver in deterministic mode,
+    the parallel solver's output does not depend on the thread count,
     so the payload is a pure function of the plan.  Sequential jobs
     ignore it. *)
 

@@ -81,7 +81,7 @@ let since id =
   | "SRC10" -> "PR7"
   | "SRC11" -> "PR8"
   | "SRC12" -> "PR9"
-  | "DOM07" | "DOM08" | "DOM09" | "DOM10" | "DOM11" -> "PR8"
+  | "DOM07" | "DOM08" | "DOM09" | "DOM11" -> "PR8"
   | _ when String.starts_with ~prefix:"DOM" id -> "PR6"
   | _ -> "PR3"
 

@@ -60,36 +60,6 @@ let observe a v =
 
 let observe_int a v = observe a (float_of_int v)
 
-let absorb_acc ~into src =
-  if src.a_count > 0 then begin
-    if into.a_count = 0 then begin
-      into.a_min <- src.a_min;
-      into.a_max <- src.a_max
-    end
-    else begin
-      if src.a_min < into.a_min then into.a_min <- src.a_min;
-      if src.a_max > into.a_max then into.a_max <- src.a_max
-    end;
-    into.a_count <- into.a_count + src.a_count;
-    into.a_sum <- into.a_sum +. src.a_sum;
-    into.a_last <- src.a_last
-  end
-
-let absorb ~into src =
-  into.pops <- into.pops + src.pops;
-  into.stale <- into.stale + src.stale;
-  into.applied <- into.applied + src.applied;
-  into.accepted <- into.accepted + src.accepted;
-  into.rolled_back <- into.rolled_back + src.rolled_back;
-  into.rebalance <- into.rebalance + src.rebalance;
-  into.cache_hits <- into.cache_hits + src.cache_hits;
-  into.cache_misses <- into.cache_misses + src.cache_misses;
-  into.delta_updates <- into.delta_updates + src.delta_updates;
-  absorb_acc ~into:into.pass_gain src.pass_gain;
-  absorb_acc ~into:into.final_cost src.final_cost;
-  absorb_acc ~into:into.boundary src.boundary;
-  absorb_acc ~into:into.pass_alloc src.pass_alloc
-
 let c_pops = Obs.Counter.make "fm.pops"
 let c_stale = Obs.Counter.make "fm.stale_reinserts"
 let c_applied = Obs.Counter.make "fm.moves_applied"

@@ -5,11 +5,10 @@
     would silently drop its counters.  Instead {!Refine.refine} takes an
     optional [?stats] accumulator that captures every [fm.*] counter and
     histogram emission the call would otherwise make; the parallel
-    driver gives each task its own accumulator, folds them in task-index
-    order at the join barrier ({!absorb}) and commits the fold to the
-    real registries on the main domain ({!commit}) — the same
-    batch-then-absorb shape the engine uses for worker-process trace
-    shards.  Totals are therefore independent of the thread count and
+    driver gives each task its own accumulator and, after the join
+    barrier, commits them in task-index order to the real registries on
+    the main domain ({!commit}) — the same batch-then-absorb shape the
+    engine uses for worker-process trace shards.  Totals are therefore independent of the thread count and
     free of double-counts: each emission lands in exactly one
     accumulator, and each accumulator is committed exactly once. *)
 
@@ -42,11 +41,6 @@ val create : unit -> t
 
 val observe : acc -> float -> unit
 val observe_int : acc -> int -> unit
-
-val absorb : into:t -> t -> unit
-(** Fold one accumulator into another (counters add, histogram stats
-    merge).  Absorbing in task-index order keeps the merged [a_last]
-    values deterministic. *)
 
 val commit : t -> unit
 (** Add the accumulated totals to the [fm.*] Obs registries.  Call once

@@ -18,16 +18,11 @@ type config = {
           rng, config): [threads = 1] and [threads = 8] produce
           identical partitions (it is a {e different} algorithm from
           the sequential path, whose results it does not reproduce). *)
-  deterministic : bool;
-      (** [true] (the default) reduces every cross-domain merge in task
-          index order.  [false] relaxes the initial-portfolio reduction
-          to completion order: marginally less synchronization
-          structure, genuinely run-to-run-varying tie-breaks. *)
 }
 
 val default_config : config
 (** ε = 0.03, strict balance, connectivity metric, sequential
-    ([threads = 0]), deterministic. *)
+    ([threads = 0]). *)
 
 val partition :
   ?config:config -> Support.Rng.t -> Hypergraph.t -> k:int -> Partition.t

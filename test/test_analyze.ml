@@ -1,11 +1,12 @@
 (* The domain-safety analyzer (lib/analysis_dom): every DOM rule must
    fire on its fixture at the exact line, fall silent on the compliant
-   mutation, and obey the shared suppression machinery.  The syntactic
-   rules run through the filesystem-free [Driver.analyze_sources]
-   (Parsetree front) against the committed fixtures in
-   test/fixtures/dom/; the typed-front tests compile a fixture with
-   `ocamlc -bin-annot` into a temp tree and drive the full [Driver.run]
-   pipeline — harvest, classification, call graph — over the .cmt. *)
+   mutation, and obey the shared suppression machinery.  Each test
+   writes its sources (the committed fixtures in test/fixtures/dom/ or
+   inline variants) into a temp tree, compiles them with
+   `ocamlc -bin-annot` the way dune would, and drives the real
+   [Driver.run] over the resulting .cmt files.  Suppressions and the
+   committed certificate are files in that tree too (lint.config,
+   analysis/effects.json), exactly as in the repository. *)
 
 module AD = Analysis_dom
 module L = Lint
@@ -20,8 +21,79 @@ let em_dash = "\xe2\x80\x94"
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let fixture name = read_file (Filename.concat "fixtures/dom" name)
 
-let analyze ?config ?entries ?certificate files =
-  AD.Driver.analyze_sources ?config ?entries ?certificate ~root:"." files
+(* ---- fixture trees ------------------------------------------------------ *)
+
+let with_temp_tree f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hypartition_dom_%d" (Unix.getpid ()))
+  in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  if Sys.file_exists dir then rm dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+(* Write a root-relative file, creating its directories. *)
+let put root rel content =
+  let path = Filename.concat root rel in
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+
+(* Compile one unit in place, leaving its .cmt next to the source
+   ([-I] finds the interface's .cmi there). *)
+let compile root rel =
+  let cmd =
+    Printf.sprintf "cd %s && ocamlc -bin-annot -w -a -I %s -c %s 2>/dev/null"
+      (Filename.quote root)
+      (Filename.quote (Filename.dirname rel))
+      (Filename.quote rel)
+  in
+  Alcotest.(check int) ("compile " ^ rel) 0 (Sys.command cmd)
+
+(* Write [files] (root-relative path, content) into a fresh temp tree,
+   compile them — interfaces first, as an implementation needs its
+   .cmi — and hand the root to [f]. *)
+let with_tree files f =
+  with_temp_tree (fun root ->
+      List.iter (fun (rel, content) -> put root rel content) files;
+      let mlis, mls =
+        List.partition (fun rel -> Filename.check_suffix rel ".mli")
+          (List.map fst files)
+      in
+      List.iter (compile root) (mlis @ mls);
+      f root)
+
+let run_tree ?entries root =
+  match AD.Driver.run ~root ~build_dir:root ?entries () with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+(* One compiled tree, one analysis.  [config] is lint.config text.
+   Every unit must be analyzed: a rule that stays silent must not be
+   silent because its fixture went unseen. *)
+let analyze ?config ?entries files =
+  with_tree files (fun root ->
+      Option.iter (put root "lint.config") config;
+      let r = run_tree ?entries root in
+      Alcotest.(check int)
+        "every unit analyzed"
+        (List.length
+           (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files))
+        (List.length r.AD.Driver.units);
+      r)
 
 let find_all ~rule (r : AD.Driver.result) =
   List.filter (fun (f : L.Rules.finding) -> String.equal f.rule rule) r.findings
@@ -59,7 +131,7 @@ let test_catalogue () =
     "stable rule ids"
     [
       "DOM00"; "DOM01"; "DOM02"; "DOM03"; "DOM04"; "DOM05"; "DOM06"; "DOM07";
-      "DOM08"; "DOM09"; "DOM10"; "DOM11";
+      "DOM08"; "DOM09"; "DOM11";
     ]
     (List.map fst AD.Dom_rules.catalogue);
   (* one renderer for both tools: every id of either catalogue appears
@@ -164,7 +236,7 @@ let test_dom03 () =
   let global_rng =
     "module Rng = struct\n\
     \  type t = int ref\n\n\
-    \  let create s = ref s\n\
+    \  let create s : t = ref s\n\
      end\n\n\
      let default = Rng.create 1\n"
   in
@@ -301,28 +373,6 @@ let test_dom08 () =
   in
   check_silent "confined projection" ~rule:"DOM08" r
 
-(* ---- DOM10: Parsetree-front unknown (warning) --------------------------- *)
-
-let test_dom10 () =
-  let path = "lib/x/dom10_parse_unknown.ml" in
-  let files = [ (path, fixture "dom10_parse_unknown.ml"); (path ^ "i", "") ] in
-  let r = analyze ~entries:(entries_for "Dom10_parse_unknown") files in
-  check_fires "external widens" ~rule:"DOM10" ~file:path ~line:4 r;
-  (match find_all ~rule:"DOM10" r with
-  | [ f ] ->
-      Alcotest.(check bool)
-        "warning, not error" true
-        (f.L.Rules.severity = C.Warning)
-  | l -> Alcotest.failf "expected one DOM10, got %d" (List.length l));
-  (* a benign external does not widen *)
-  let ok = "let solve xs = List.length xs\n" in
-  let r =
-    analyze
-      ~entries:(entries_for "Dom10_parse_unknown")
-      [ (path, ok); (path ^ "i", "") ]
-  in
-  check_silent "benign external" ~rule:"DOM10" r
-
 (* ---- DOM11: certificate staleness --------------------------------------- *)
 
 let cert_of (r : AD.Driver.result) =
@@ -332,66 +382,112 @@ let test_dom11 () =
   let path = "lib/x/dom07_shared_writer.ml" in
   let files = [ (path, fixture "dom07_shared_writer.ml"); (path ^ "i", "") ] in
   let entries = entries_for "Dom07_shared_writer" in
-  let fresh = cert_of (analyze ~entries files) in
-  (* a fresh certificate passes *)
-  let r = analyze ~entries ~certificate:("analysis/effects.json", fresh) files in
-  check_silent "fresh certificate" ~rule:"DOM11" r;
-  (* flipping a certified classification is one stale entry *)
-  let replace ~needle ~by hay =
-    let nh = String.length hay and nn = String.length needle in
-    let buf = Buffer.create nh in
-    let i = ref 0 in
-    while !i < nh do
-      if !i + nn <= nh && String.sub hay !i nn = needle then begin
-        Buffer.add_string buf by;
-        i := !i + nn
-      end
-      else begin
-        Buffer.add_char buf hay.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  let stale =
-    replace
-      ~needle:"\"classification\": \"shared_mutating\""
-      ~by:"\"classification\": \"pure\"" fresh
-  in
-  let r = analyze ~entries ~certificate:("analysis/effects.json", stale) files in
-  check_fires "stale entry" ~rule:"DOM11" ~file:"analysis/effects.json" ~line:1 r;
-  (* an unparseable document is a single finding, not a crash *)
-  let r =
-    analyze ~entries ~certificate:("analysis/effects.json", "{ nope") files
-  in
-  Alcotest.(check int) "one parse finding" 1
-    (List.length (find_all ~rule:"DOM11" r));
-  (* DOM11 obeys the shared suppression machinery *)
-  let config, errs =
-    L.Suppress.parse_config
-      ("allow DOM11 analysis/effects.json " ^ em_dash
-     ^ " regenerating in this same PR\n")
-  in
-  Alcotest.(check int) "config parses" 0 (List.length errs);
-  let r =
-    analyze ~config ~entries
-      ~certificate:("analysis/effects.json", stale)
-      files
-  in
-  check_silent "suppressed staleness" ~rule:"DOM11" r;
-  Alcotest.(check bool)
-    "reason recorded" true
-    (List.exists
-       (fun ((f : L.Rules.finding), reason) ->
-         f.rule = "DOM11" && reason = "regenerating in this same PR")
-       r.AD.Driver.suppressed)
+  with_tree files (fun root ->
+      let fresh = cert_of (run_tree ~entries root) in
+      let with_certificate ?config cert =
+        put root "analysis/effects.json" cert;
+        Option.iter (put root "lint.config") config;
+        run_tree ~entries root
+      in
+      (* a fresh certificate passes *)
+      let r = with_certificate fresh in
+      check_silent "fresh certificate" ~rule:"DOM11" r;
+      (* flipping a certified classification is one stale entry *)
+      let replace ~needle ~by hay =
+        let nh = String.length hay and nn = String.length needle in
+        let buf = Buffer.create nh in
+        let i = ref 0 in
+        while !i < nh do
+          if !i + nn <= nh && String.sub hay !i nn = needle then begin
+            Buffer.add_string buf by;
+            i := !i + nn
+          end
+          else begin
+            Buffer.add_char buf hay.[!i];
+            incr i
+          end
+        done;
+        Buffer.contents buf
+      in
+      let stale =
+        replace
+          ~needle:"\"classification\": \"shared_mutating\""
+          ~by:"\"classification\": \"pure\"" fresh
+      in
+      let r = with_certificate stale in
+      check_fires "stale entry" ~rule:"DOM11" ~file:"analysis/effects.json"
+        ~line:1 r;
+      (* an unparseable document is a single finding, not a crash *)
+      let r = with_certificate "{ nope" in
+      Alcotest.(check int) "one parse finding" 1
+        (List.length (find_all ~rule:"DOM11" r));
+      (* DOM11 obeys the shared suppression machinery *)
+      let config =
+        "allow DOM11 analysis/effects.json " ^ em_dash
+        ^ " regenerating in this same PR\n"
+      in
+      Alcotest.(check int)
+        "config parses" 0
+        (List.length (snd (L.Suppress.parse_config config)));
+      let r = with_certificate ~config stale in
+      check_silent "suppressed staleness" ~rule:"DOM11" r;
+      Alcotest.(check bool)
+        "reason recorded" true
+        (List.exists
+           (fun ((f : L.Rules.finding), reason) ->
+             f.rule = "DOM11" && reason = "regenerating in this same PR")
+           r.AD.Driver.suppressed))
 
 (* ---- DOM00 and suppression ---------------------------------------------- *)
 
-let test_dom00_parse_error () =
-  let path = "lib/x/broken.ml" in
-  let r = analyze [ (path, "let = = =\n") ] in
-  check_fires "unparseable" ~rule:"DOM00" ~file:path ~line:1 r
+(* A source no .cmt covers is a hard error naming the build step that
+   produces the coverage; the covered sibling is analyzed as usual, and
+   the certificate is not compared against the partial program. *)
+let test_dom00_missing_cmt () =
+  let covered = "lib/x/covered.ml" and missing = "lib/x/missing.ml" in
+  with_tree [ (covered, "let x = 1\n"); (covered ^ "i", "") ] (fun root ->
+      put root missing "let y = 2\n";
+      put root "analysis/effects.json" "{ nope";
+      let r = run_tree root in
+      check_silent "no certificate check on partial coverage" ~rule:"DOM11" r;
+      (match find_all ~rule:"DOM00" r with
+      | [ f ] ->
+          Alcotest.(check string) "names the uncovered file" missing
+            f.L.Rules.file;
+          Alcotest.(check bool)
+            "an error, not a warning" true
+            (f.L.Rules.severity = C.Error);
+          Alcotest.(check bool)
+            "names the build step" true
+            (contains f.L.Rules.message "dune build @check")
+      | l -> Alcotest.failf "expected one DOM00, got %d" (List.length l));
+      Alcotest.(check (list string))
+        "only the covered unit is analyzed" [ covered ]
+        (List.map (fun (u : AD.Ir.unit_ir) -> u.AD.Ir.u_file) r.AD.Driver.units);
+      Alcotest.(check int)
+        "the gate fails" 1
+        (C.exit_code (AD.Driver.report r)))
+
+(* A source edited after its .cmt was built must not be analyzed as the
+   old code: the digest recorded in the .cmt no longer matches. *)
+let test_dom00_stale_cmt () =
+  let path = "lib/x/coarsen.ml" in
+  let src = "let step n = n + 1\n" in
+  with_tree [ (path, src); (path ^ "i", "") ] (fun root ->
+      check_silent "fresh .cmt" ~rule:"DOM00" (run_tree root);
+      put root path (src ^ "let jitter n = Random.int n\n");
+      let r = run_tree root in
+      check_fires "edited after the build" ~rule:"DOM00" ~file:path ~line:1 r;
+      (match find_all ~rule:"DOM00" r with
+      | [ f ] ->
+          Alcotest.(check bool)
+            "an error" true
+            (f.L.Rules.severity = C.Error);
+          Alcotest.(check bool)
+            "names the build step" true
+            (contains f.L.Rules.message "dune build @check")
+      | l -> Alcotest.failf "expected one DOM00, got %d" (List.length l));
+      check_silent "old code not analyzed" ~rule:"DOM03" r)
 
 let test_suppression () =
   let path = "lib/x/dom01_hot_ref.ml" in
@@ -421,11 +517,12 @@ let test_suppression () =
       Alcotest.(check string) "reason" "single-domain test gate" reason
   | l -> Alcotest.failf "expected one suppressed finding, got %d" (List.length l));
   (* lint.config entry with a reason *)
-  let config, errs =
-    L.Suppress.parse_config
-      ("allow DOM01 lib/x " ^ em_dash ^ " confined by the test harness\n")
+  let config =
+    "allow DOM01 lib/x " ^ em_dash ^ " confined by the test harness\n"
   in
-  Alcotest.(check int) "config parses" 0 (List.length errs);
+  Alcotest.(check int)
+    "config parses" 0
+    (List.length (snd (L.Suppress.parse_config config)));
   let r =
     analyze ~config
       ~entries:(entries_for "Dom01_hot_ref")
@@ -477,14 +574,18 @@ let test_determinism () =
       ("lib/solvers/dom05_toplevel_hashtbl.ml", fixture "dom05_toplevel_hashtbl.ml");
     ]
   in
-  let run () =
-    let r = analyze ~entries:(entries_for "Dom01_hot_ref") files in
-    ( Obs.Json.to_string (AD.Driver.to_json r),
-      AD.Inventory.render r.inventory,
-      cert_of r )
+  (* one tree analyzed twice, so the [root] fields agree too *)
+  let (j1, i1, c1), (j2, i2, c2) =
+    with_tree files (fun root ->
+        let run () =
+          let r = run_tree ~entries:(entries_for "Dom01_hot_ref") root in
+          ( Obs.Json.to_string (AD.Driver.to_json r),
+            AD.Inventory.render r.inventory,
+            cert_of r )
+        in
+        let first = run () in
+        (first, run ()))
   in
-  let j1, i1, c1 = run () in
-  let j2, i2, c2 = run () in
   Alcotest.(check string) "analyze --json byte-match" j1 j2;
   Alcotest.(check string) "inventory byte-match" i1 i2;
   Alcotest.(check string) "effects certificate byte-match" c1 c2;
@@ -499,7 +600,7 @@ let test_determinism () =
       in
       Alcotest.(check (option string))
         "certificate schema"
-        (Some "hypartition-effects/1") schema
+        (Some "hypartition-effects/2") schema
   | Error e -> Alcotest.failf "certificate does not re-parse: %s" e
 
 (* ---- the typed front, end to end over real .cmt files ------------------- *)
@@ -523,84 +624,52 @@ let typed_fixture_ws =
 let typed_fixture_ext =
   "let fetch name = Sys.getenv name\n\nlet pick s = String.length s\n"
 
-let with_temp_tree f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hypartition_dom_%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then rm dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
-
-let write_file path content =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
-
 let test_typed_front () =
-  with_temp_tree (fun root ->
-      let libdir = Filename.concat root "lib" in
-      Sys.mkdir libdir 0o755;
-      Sys.mkdir (Filename.concat libdir "fix") 0o755;
-      write_file (Filename.concat libdir "fix/dom_typed.ml") typed_fixture_main;
-      write_file (Filename.concat libdir "fix/dom_typed_ws.ml") typed_fixture_ws;
-      write_file (Filename.concat libdir "fix/dom_typed_ext.ml") typed_fixture_ext;
-      let compile file =
-        let cmd =
-          Printf.sprintf "cd %s && ocamlc -bin-annot -w -a -c %s 2>/dev/null"
-            (Filename.quote root) (Filename.quote file)
-        in
-        Alcotest.(check int) ("compile " ^ file) 0 (Sys.command cmd)
-      in
-      compile "lib/fix/dom_typed.ml";
-      compile "lib/fix/dom_typed_ws.ml";
-      compile "lib/fix/dom_typed_ext.ml";
-      match
-        AD.Driver.run ~root ~build_dir:root
-          ~entries:
-            [ ("Dom_typed", "*"); ("Dom_typed_ws", "*"); ("Dom_typed_ext", "*") ]
-          ()
-      with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-          Alcotest.(check int) "all units typed" 3 r.AD.Driver.n_typed;
-          Alcotest.(check int) "no parse fallback" 0 r.AD.Driver.n_parse;
-          (* the harvest saw through the `t = counter` alias to the
-             mutable record — classification no syntax pass can make *)
-          check_fires "DOM01 via harvest" ~rule:"DOM01"
-            ~file:"lib/fix/dom_typed.ml" ~line:5 r;
-          (* the principal type of [acquire] mentions Workspace.t even
-             though the source never writes the type *)
-          check_fires "DOM02 via inferred return type" ~rule:"DOM02"
-            ~file:"lib/fix/dom_typed_ws.ml" ~line:7 r;
-          (* unsealed units with unsafe globals: DOM06 from the cmt *)
-          check_fires "DOM06 from typed unit" ~rule:"DOM06"
-            ~file:"lib/fix/dom_typed.ml" ~line:5 r;
-          (* the typed front's external widening is DOM09, an error *)
-          check_fires "DOM09 from typed unit" ~rule:"DOM09"
-            ~file:"lib/fix/dom_typed_ext.ml" ~line:1 r;
-          (match find_all ~rule:"DOM09" r with
-          | [ f ] ->
-              Alcotest.(check bool)
-                "DOM09 is an error" true
-                (f.L.Rules.severity = C.Error);
-              Alcotest.(check bool)
-                "DOM09 names the external" true
-                (contains f.L.Rules.message "Sys.getenv")
-          | l -> Alcotest.failf "expected one DOM09, got %d" (List.length l));
-          (* the benign allowlist keeps the sibling pure *)
-          match AD.Effects.find r.AD.Driver.effects "Dom_typed_ext.pick" with
-          | Some i ->
-              Alcotest.(check string)
-                "pick stays pure" "pure"
-                (AD.Effects.classification_to_string i.AD.Effects.e_class)
-          | None -> Alcotest.fail "pick not in the effect table")
+  let files =
+    [
+      ("lib/fix/dom_typed.ml", typed_fixture_main);
+      ("lib/fix/dom_typed_ws.ml", typed_fixture_ws);
+      ("lib/fix/dom_typed_ext.ml", typed_fixture_ext);
+    ]
+  in
+  let r =
+    analyze
+      ~entries:
+        [ ("Dom_typed", "*"); ("Dom_typed_ws", "*"); ("Dom_typed_ext", "*") ]
+      files
+  in
+  Alcotest.(check int) "all units analyzed" 3 (List.length r.AD.Driver.units);
+  check_silent "full .cmt coverage" ~rule:"DOM00" r;
+  (* the harvest saw through the `t = counter` alias to the mutable
+     record — classification no syntax pass can make *)
+  check_fires "DOM01 via harvest" ~rule:"DOM01" ~file:"lib/fix/dom_typed.ml"
+    ~line:5 r;
+  (* the principal type of [acquire] mentions Workspace.t even though
+     the source never writes the type *)
+  check_fires "DOM02 via inferred return type" ~rule:"DOM02"
+    ~file:"lib/fix/dom_typed_ws.ml" ~line:7 r;
+  (* unsealed units with unsafe globals: DOM06 from the cmt *)
+  check_fires "DOM06 from typed unit" ~rule:"DOM06"
+    ~file:"lib/fix/dom_typed.ml" ~line:5 r;
+  (* an unanalyzed external widens its caller: DOM09, an error *)
+  check_fires "DOM09 from typed unit" ~rule:"DOM09"
+    ~file:"lib/fix/dom_typed_ext.ml" ~line:1 r;
+  (match find_all ~rule:"DOM09" r with
+  | [ f ] ->
+      Alcotest.(check bool)
+        "DOM09 is an error" true
+        (f.L.Rules.severity = C.Error);
+      Alcotest.(check bool)
+        "DOM09 names the external" true
+        (contains f.L.Rules.message "Sys.getenv")
+  | l -> Alcotest.failf "expected one DOM09, got %d" (List.length l));
+  (* the benign allowlist keeps the sibling pure *)
+  match AD.Effects.find r.AD.Driver.effects "Dom_typed_ext.pick" with
+  | Some i ->
+      Alcotest.(check string)
+        "pick stays pure" "pure"
+        (AD.Effects.classification_to_string i.AD.Effects.e_class)
+  | None -> Alcotest.fail "pick not in the effect table"
 
 (* ---- docs stay in sync with both catalogues ----------------------------- *)
 
@@ -624,9 +693,9 @@ let suite =
     Alcotest.test_case "DOM06 unsealed mutable" `Quick test_dom06;
     Alcotest.test_case "DOM07 hot shared writer" `Quick test_dom07;
     Alcotest.test_case "DOM08 workspace interior escape" `Quick test_dom08;
-    Alcotest.test_case "DOM10 parse-front unknown" `Quick test_dom10;
     Alcotest.test_case "DOM11 certificate staleness" `Quick test_dom11;
-    Alcotest.test_case "DOM00 parse error" `Quick test_dom00_parse_error;
+    Alcotest.test_case "DOM00 missing .cmt" `Quick test_dom00_missing_cmt;
+    Alcotest.test_case "DOM00 stale .cmt" `Quick test_dom00_stale_cmt;
     Alcotest.test_case "suppression with reasons" `Quick test_suppression;
     Alcotest.test_case "stale DOM markers" `Quick test_stale_dom_marker;
     Alcotest.test_case "lint ignores DOM markers" `Quick

@@ -1,6 +1,6 @@
 (* lib/parallel and the multicore multilevel path: pool fork-join
-   semantics (index-slot gather, deterministic fold order, exception
-   selection), the threads-1-vs-N determinism contract of
+   semantics (index-slot gather, index-order fold over the gather,
+   exception selection), the threads-1-vs-N determinism contract of
    Multilevel.partition with [threads >= 1] — identical assignments,
    costs, byte-identical engine records — and threads-independence of
    the fm.* / lp.* observability totals (per-domain accumulators must
@@ -39,27 +39,16 @@ let test_map_worker_ids () =
 
 let test_fold_deterministic_order () =
   Parallel.run ~threads:4 (fun pool ->
-      (* Order-sensitive combine: deterministic fold must reduce in task
-         index order regardless of which worker finished first. *)
+      (* Order-sensitive combine: folding the gathered array must reduce
+         in task index order regardless of which worker finished first. *)
       let r =
-        Parallel.fold pool ~deterministic:true ~n:50
-          ~f:(fun ~worker:_ i -> i)
-          ~combine:(fun acc i -> i :: acc)
-          ~init:[]
+        Array.fold_left
+          (fun acc i -> i :: acc)
+          []
+          (Parallel.map pool ~n:50 (fun ~worker:_ i -> i))
       in
       Alcotest.(check (list int))
-        "index order" (List.init 50 Fun.id) (List.rev r);
-      (* The relaxed fold loses the order guarantee but not the
-         multiset of results. *)
-      let relaxed =
-        Parallel.fold pool ~deterministic:false ~n:50
-          ~f:(fun ~worker:_ i -> i)
-          ~combine:(fun acc i -> i :: acc)
-          ~init:[]
-      in
-      Alcotest.(check (list int))
-        "relaxed fold is a permutation" (List.init 50 Fun.id)
-        (List.sort Int.compare relaxed))
+        "index order" (List.init 50 Fun.id) (List.rev r))
 
 exception Task_failed of int
 
@@ -87,7 +76,7 @@ let test_run_bracket () =
 (* ---- threads-1-vs-N determinism ------------------------------------------ *)
 
 let par_config ~threads =
-  { Solvers.Multilevel.default_config with threads; deterministic = true }
+  { Solvers.Multilevel.default_config with threads }
 
 let solve_par ~threads hg ~k ~seed =
   let rng = Support.Rng.create seed in
